@@ -1,13 +1,16 @@
 //! Criterion micro-benchmarks for the branch-free local-phase kernels
 //! against the seed kernels they dispatch against: radix vs the iterative
 //! bitonic network on full sorts, the rotate-copy circular merge vs the
-//! comparator network on bitonic inputs, and the dispatched entry points
-//! themselves (which must track the winner per size class).
+//! comparator network on bitonic inputs, the dispatched entry points
+//! themselves (which must track the winner per size class), and the
+//! step-major sweep over a slice of bitonic chunks against merging the
+//! chunks one call at a time (`local_kernels/merge_chunks`, which sets
+//! `dispatch::CHUNK_SWEEP_MAX_LG`).
 
 use bitonic_network::Direction;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use local_sorts::bitonic_merge::sort_circular_with_scratch;
-use local_sorts::kernels::{bitonic_merge_iterative, bitonic_sort_iterative};
+use local_sorts::kernels::{bitonic_merge_chunks, bitonic_merge_iterative, bitonic_sort_iterative};
 use local_sorts::radix::radix_sort_with_scratch;
 use local_sorts::{local_sort_with_scratch, sort_bitonic_with_scratch};
 
@@ -106,5 +109,86 @@ fn bench_local_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_local_kernels);
+/// Keys of every benched width, drawn from one 64-bit stream.
+trait BenchKey: Ord + Copy {
+    const NAME: &'static str;
+    fn from_draw(x: u64) -> Self;
+}
+impl BenchKey for u32 {
+    const NAME: &'static str = "u32";
+    fn from_draw(x: u64) -> Self {
+        x as u32
+    }
+}
+impl BenchKey for u64 {
+    const NAME: &'static str = "u64";
+    fn from_draw(x: u64) -> Self {
+        x
+    }
+}
+impl BenchKey for u128 {
+    const NAME: &'static str = "u128";
+    fn from_draw(x: u64) -> Self {
+        (u128::from(x) << 64) | u128::from(x.rotate_left(23))
+    }
+}
+
+/// Keys of one slice the chunked merge benches sort: 2^14, the same for
+/// every chunk size, so cells compare per key.
+const CHUNKED_SLICE_LG: u32 = 14;
+
+/// A 2^14-key slice of rotated-mountain chunks of `2^lg_chunk` keys.
+fn bitonic_chunk_keys<K: BenchKey>(lg_chunk: u32) -> Vec<K> {
+    let chunk = 1usize << lg_chunk;
+    let mut s = u64::from(lg_chunk) + 17;
+    let mut v: Vec<K> = (0..1usize << CHUNKED_SLICE_LG)
+        .map(|_| K::from_draw(splitmix(&mut s)))
+        .collect();
+    for c in v.chunks_mut(chunk) {
+        c[..chunk / 2].sort_unstable();
+        c[chunk / 2..].sort_unstable_by(|a, b| b.cmp(a));
+        c.rotate_left(chunk / 3);
+    }
+    v
+}
+
+/// One width's cells: the sweep vs one dispatched merge per chunk.
+fn merge_chunk_cells<K: BenchKey>(c: &mut Criterion) {
+    let mut group = c.benchmark_group("local_kernels/merge_chunks");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_millis(500));
+    group.warm_up_time(std::time::Duration::from_millis(100));
+    group.throughput(Throughput::Elements(1 << CHUNKED_SLICE_LG));
+    for lg_chunk in 1..=10u32 {
+        let input = bitonic_chunk_keys::<K>(lg_chunk);
+        let cell = format!("{}/chunk_{}", K::NAME, 1usize << lg_chunk);
+        group.bench_function(BenchmarkId::new("sweep", &cell), |b| {
+            b.iter(|| {
+                let mut v = input.clone();
+                bitonic_merge_chunks(&mut v, lg_chunk, Direction::Ascending);
+                v
+            })
+        });
+        group.bench_function(BenchmarkId::new("per_chunk", &cell), |b| {
+            let mut scratch = Vec::new();
+            b.iter(|| {
+                let mut v = input.clone();
+                for chunk in v.chunks_mut(1 << lg_chunk) {
+                    sort_bitonic_with_scratch(chunk, &mut scratch, Direction::Ascending);
+                }
+                v
+            })
+        });
+    }
+    group.finish();
+}
+
+fn bench_merge_chunks(c: &mut Criterion) {
+    local_sorts::dispatch::ensure_calibrated();
+    merge_chunk_cells::<u32>(c);
+    merge_chunk_cells::<u64>(c);
+    merge_chunk_cells::<u128>(c);
+}
+
+criterion_group!(benches, bench_local_kernels, bench_merge_chunks);
 criterion_main!(benches);

@@ -10,7 +10,10 @@
 //!   an inside phase is one bitonic merge sort of the whole local array; a
 //!   crossing phase is `2^b` chunked bitonic merge sorts, the mid-phase
 //!   transpose of the local address bits, then `2^a` more chunked sorts;
-//!   the final phase sorts `2^s`-element bitonic chunks ascending.
+//!   the final phase sorts `2^s`-element bitonic chunks ascending. Small
+//!   chunks are merged step-major: each comparator level of the chunk
+//!   network sweeps the whole local array at once (at P = 4 every
+//!   schedule has `a = 1` and `s = 3`, so nearly every chunk is small).
 //!
 //! Both engines produce bit-identical arrays (tested exhaustively), so the
 //! optimized one can be swapped in without re-deriving the theorems.
@@ -20,7 +23,7 @@ use crate::schedule::RemapPhase;
 use crate::smart::RemapKind;
 use bitonic_network::network::StepId;
 use bitonic_network::{compare_exchange, Direction};
-use local_sorts::bitonic_merge::sort_bitonic_with_scratch;
+use local_sorts::bitonic_merge::{sort_bitonic_chunks_with_scratch, sort_bitonic_with_scratch};
 
 /// Which engine executes local phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -190,11 +193,7 @@ pub fn run_phase_merges<K: Ord + Copy>(
             // Final phase: `s` remaining steps of the last stage sort
             // 2^s-element bitonic chunks; the last stage is ascending.
             let s = phase.steps.len() as u32;
-            let chunk = 1usize << s;
-            for c in data.chunks_mut(chunk) {
-                debug_assert!(bitonic_network::is_bitonic(c));
-                sort_bitonic_with_scratch(c, scratch, Direction::Ascending);
-            }
+            sort_bitonic_chunks_with_scratch(data, s, scratch, Direction::Ascending);
         }
         RemapKind::Crossing => {
             let (a, b) = (phase.params.a, phase.params.b);
@@ -207,17 +206,9 @@ pub fn run_phase_merges<K: Ord + Copy>(
                 .local_position_of(phase.steps[0].direction_bit())
                 .expect("crossing sub-phase 1 direction bit is the top local bit");
             debug_assert_eq!(sigma, lg_n - 1);
-            let chunk1 = 1usize << a;
-            for (c, chunk) in data.chunks_mut(chunk1).enumerate() {
-                let local_rep = c << a; // any address inside the chunk
-                let dir = if (local_rep >> sigma) & 1 == 0 {
-                    Direction::Ascending
-                } else {
-                    Direction::Descending
-                };
-                debug_assert!(bitonic_network::is_bitonic(chunk));
-                sort_bitonic_with_scratch(chunk, scratch, dir);
-            }
+            let (ascending, descending) = data.split_at_mut(data.len() / 2);
+            sort_bitonic_chunks_with_scratch(ascending, a, scratch, Direction::Ascending);
+            sort_bitonic_chunks_with_scratch(descending, a, scratch, Direction::Descending);
             transpose_local(data, a, b, scratch);
             // Sub-phase 2: 2^a bitonic chunks of 2^b elements; direction
             // bit (stage lg n + k + 1) is a processor bit (or beyond the
@@ -225,11 +216,7 @@ pub fn run_phase_merges<K: Ord + Copy>(
             let stage2 = phase.steps.last().expect("crossing phase has steps").stage;
             let dir2 = stage_direction(&phase.layout_after, me, stage2)
                 .expect("crossing sub-phase 2 direction bit is a processor bit");
-            let chunk2 = 1usize << b;
-            for chunk in data.chunks_mut(chunk2) {
-                debug_assert!(bitonic_network::is_bitonic(chunk));
-                sort_bitonic_with_scratch(chunk, scratch, dir2);
-            }
+            sort_bitonic_chunks_with_scratch(data, b, scratch, dir2);
         }
     }
 }
@@ -417,6 +404,39 @@ mod tests {
             // And the final state is the globally sorted array, blocked.
             let finals: Vec<u64> = canon.last().unwrap().concat();
             assert!(finals.windows(2).all(|w| w[0] <= w[1]), "output not sorted");
+        }
+    }
+
+    /// The chunked merges of every crossing sub-phase and final phase
+    /// match the canonical steps, for P in {2, 4, 8, 16} and a range of
+    /// local sizes — crossing phases with `a` in {1, 2, 3} merge both an
+    /// ascending and a descending half of 2^a-element chunks.
+    #[test]
+    fn chunked_merges_match_canonical_across_machine_sizes() {
+        let mut crossing_a = std::collections::BTreeSet::new();
+        for p in [2usize, 4, 8, 16] {
+            let lg_p = p.trailing_zeros();
+            for lg_n in 1..=(14 - lg_p).min(10) {
+                let n_total = p << lg_n;
+                let sched = SmartSchedule::new(n_total, p);
+                crossing_a.extend(
+                    sched
+                        .phases
+                        .iter()
+                        .filter(|ph| ph.params.kind == RemapKind::Crossing)
+                        .map(|ph| ph.params.a),
+                );
+                let (canon, merges) = full_run_states(n_total, p, u64::from(lg_n) * 31 + 7);
+                for (i, (c, m)) in canon.iter().zip(merges.iter()).enumerate() {
+                    assert_eq!(c, m, "divergence after phase {i} (N={n_total}, P={p})");
+                }
+            }
+        }
+        for a in 1..=3 {
+            assert!(
+                crossing_a.contains(&a),
+                "no crossing phase with a={a}: {crossing_a:?}"
+            );
         }
     }
 

@@ -226,7 +226,8 @@ pub struct ShardedService {
     metrics: Option<Arc<ServiceMetrics>>,
     workers: Vec<std::thread::JoinHandle<RankTrace>>,
     /// One coordinator per in-flight bulk request, joined at shutdown so
-    /// the final stats include every scatter/merge in flight.
+    /// the final stats include every scatter/merge in flight. Finished
+    /// ones are reaped whenever a new one registers.
     bulk_workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -616,10 +617,7 @@ impl ShardedService {
                 unwrap,
             );
         });
-        self.bulk_workers
-            .lock()
-            .expect("bulk worker list")
-            .push(worker);
+        self.register_bulk_worker(worker);
         drop(q);
         self.shared.cv.notify_all();
         Ok(RecordTicket { rx: parent_rx })
@@ -721,10 +719,7 @@ impl ShardedService {
         let worker = std::thread::spawn(move || {
             bulk_coordinator(&shared, metrics.as_deref(), dir, subs, &parent_tx);
         });
-        self.bulk_workers
-            .lock()
-            .expect("bulk worker list")
-            .push(worker);
+        self.register_bulk_worker(worker);
         drop(q);
         self.shared.cv.notify_all();
         Ok(Ticket { rx: parent_rx })
@@ -785,6 +780,22 @@ impl ShardedService {
             shard_traces,
             router_trace: router_sink.finish(),
         }
+    }
+
+    /// Keep `worker` for joining at shutdown, first joining every
+    /// coordinator that has finished: an unjoined thread keeps its stack
+    /// mapped, so the list holds the bulk requests in flight, not every
+    /// one served.
+    fn register_bulk_worker(&self, worker: std::thread::JoinHandle<()>) {
+        let mut workers = self.bulk_workers.lock().expect("bulk worker list");
+        let (finished, running): (Vec<_>, Vec<_>) = std::mem::take(&mut *workers)
+            .into_iter()
+            .partition(std::thread::JoinHandle::is_finished);
+        for w in finished {
+            let _ = w.join();
+        }
+        *workers = running;
+        workers.push(worker);
     }
 
     fn close(&self) {

@@ -22,10 +22,13 @@
 //! table ([`crate::dispatch`]): tiny power-of-two inputs run the in-place
 //! branch-free merge *network* ([`crate::kernels::bitonic_merge_iterative`])
 //! instead, which beats the rotate-copy below the calibrated size class.
+//! [`sort_bitonic_chunks_with_scratch`] sorts a whole slice of equal
+//! bitonic chunks, sweeping small chunks step-major through the network
+//! ([`crate::kernels::bitonic_merge_chunks`]) in one call.
 
 use crate::bitonic_min::bitonic_min_index;
 use crate::dispatch::{self, Kernel};
-use crate::kernels::bitonic_merge_iterative;
+use crate::kernels::{bitonic_merge_chunks, bitonic_merge_iterative};
 use bitonic_network::Direction;
 
 /// Sort the bitonic sequence `data` in place, in direction `dir`.
@@ -64,6 +67,43 @@ pub fn sort_bitonic_with_scratch<T: Ord + Copy>(
         _ => sort_circular_with_scratch(data, scratch, dir),
     }
     dispatch::bump(kernel);
+}
+
+/// Sort every `2^lg_chunk`-key bitonic chunk of `data` in direction `dir`.
+///
+/// Chunks at or below [`dispatch::CHUNK_SWEEP_MAX_LG`] (subject to the
+/// kernel force) go through the step-major sweep
+/// [`bitonic_merge_chunks`] in one call, tallied as one
+/// [`Kernel::NetworkMerge`] per chunk; larger chunks are sorted one by one
+/// with [`sort_bitonic_with_scratch`]. Either way the tally counts one
+/// merge per chunk of two or more keys.
+///
+/// # Panics
+/// Panics if `data.len()` is not a multiple of `2^lg_chunk`.
+pub fn sort_bitonic_chunks_with_scratch<T: Ord + Copy>(
+    data: &mut [T],
+    lg_chunk: u32,
+    scratch: &mut Vec<T>,
+    dir: Direction,
+) {
+    let chunk = 1usize << lg_chunk;
+    assert!(
+        data.len().is_multiple_of(chunk),
+        "chunked merge needs a multiple of the chunk length {chunk}, got {}",
+        data.len()
+    );
+    if lg_chunk == 0 {
+        return;
+    }
+    debug_assert!(data.chunks(chunk).all(|c| bitonic_network::is_bitonic(c)));
+    if dispatch::sweeps_chunks(lg_chunk) {
+        bitonic_merge_chunks(data, lg_chunk, dir);
+        dispatch::bump_n(Kernel::NetworkMerge, (data.len() >> lg_chunk) as u64);
+    } else {
+        for c in data.chunks_mut(chunk) {
+            sort_bitonic_with_scratch(c, scratch, dir);
+        }
+    }
 }
 
 /// The rotate-copy circular merge, unconditionally (no dispatch, no

@@ -13,7 +13,11 @@
 //!   `sort_bitonic_max_lg`, and the LSD radix sort above it;
 //! * bitonic merges use the branchless comparator network while the length
 //!   is a power of two at or below `merge_network_max_lg`, and the
-//!   rotate-copy circular merge above it.
+//!   rotate-copy circular merge above it;
+//! * a slice of equal bitonic chunks is merged by one step-major sweep
+//!   ([`crate::kernels::bitonic_merge_chunks`]) while the chunk size class
+//!   is at or below the constant [`CHUNK_SWEEP_MAX_LG`], and chunk by chunk
+//!   above it.
 //!
 //! The table starts from constants measured on the reference host
 //! ([`KernelTable::default_host`]) and can be re-measured at process start
@@ -234,15 +238,40 @@ pub fn select_merge_kernel<T>(n: usize) -> Kernel {
     }
 }
 
+/// Largest chunk size class (`lg` of the chunk length) at which a slice
+/// of bitonic chunks is merged by the step-major sweep
+/// ([`crate::kernels::bitonic_merge_chunks`]) rather than chunk by chunk.
+/// Measured by the `local_kernels/merge_chunks` criterion group: the sweep
+/// wins clearly through 2^6 keys for u32, u64 and u128, and breaks even
+/// from 2^7 on, where one chunk's own work outweighs a call.
+pub const CHUNK_SWEEP_MAX_LG: u32 = 6;
+
+/// Whether a slice of `2^lg_chunk`-key bitonic chunks is merged by the
+/// step-major sweep. [`ForceKernel::Radix`] keeps the seed's per-chunk
+/// circular merges; [`ForceKernel::Bitonic`] sweeps every chunk size.
+#[must_use]
+pub fn sweeps_chunks(lg_chunk: u32) -> bool {
+    match FORCE.load(Ordering::Relaxed) {
+        FORCE_RADIX => false,
+        FORCE_BITONIC => true,
+        _ => lg_chunk <= CHUNK_SWEEP_MAX_LG,
+    }
+}
+
 thread_local! {
     static TALLY: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
 }
 
 /// Count one use of `kernel` in this thread's tally.
 pub fn bump(kernel: Kernel) {
+    bump_n(kernel, 1);
+}
+
+/// Count `n` uses of `kernel` in this thread's tally.
+pub fn bump_n(kernel: Kernel, n: u64) {
     TALLY.with(|t| {
         let mut v = t.get();
-        v[kernel.index()] += 1;
+        v[kernel.index()] += n;
         t.set(v);
     });
 }

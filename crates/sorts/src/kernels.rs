@@ -123,6 +123,53 @@ pub fn bitonic_merge_iterative<T: Ord + Copy>(data: &mut [T], dir: Direction) {
     merge_stage(data, n, dir);
 }
 
+/// Branch-free ascending compare-exchange of every pair `(lo[i], hi[i])`:
+/// afterwards `lo[i] <= hi[i]`.
+#[inline(always)]
+fn ce_halves<T: Ord + Copy>(lo: &mut [T], hi: &mut [T]) {
+    for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+        let (a, b) = (*x, *y);
+        let swap = b < a;
+        *x = if swap { b } else { a };
+        *y = if swap { a } else { b };
+    }
+}
+
+/// Sort every `2^lg_chunk`-key bitonic chunk of `data` in direction `dir`
+/// by running the chunk merge network **step-major**: each of its
+/// `lg_chunk` comparator levels sweeps the whole slice before the next
+/// one starts, as GPU bitonic sorts run one comparator step across all
+/// blocks at once.
+///
+/// Every level is a pass over the `split_at_mut` halves of each
+/// `2d`-block, so the chunk count costs no dispatch, no tally, no
+/// minimum search and no scratch. The result is what
+/// [`bitonic_merge_iterative`] gives on each chunk alone, from exactly
+/// `(n/2) · lg_chunk` compare-exchanges.
+///
+/// # Panics
+/// Panics if `data.len()` is not a multiple of `2^lg_chunk`.
+pub fn bitonic_merge_chunks<T: Ord + Copy>(data: &mut [T], lg_chunk: u32, dir: Direction) {
+    let chunk = 1usize << lg_chunk;
+    assert!(
+        data.len().is_multiple_of(chunk),
+        "chunked merge needs a multiple of the chunk length {chunk}, got {}",
+        data.len()
+    );
+    let mut d = chunk >> 1;
+    while d > 0 {
+        for block in data.chunks_exact_mut(d << 1) {
+            let (lo, hi) = block.split_at_mut(d);
+            // Descending swaps the halves' roles: the minimum goes high.
+            match dir {
+                Direction::Ascending => ce_halves(lo, hi),
+                Direction::Descending => ce_halves(hi, lo),
+            }
+        }
+        d >>= 1;
+    }
+}
+
 /// Sort `data` of **any** length with the iterative network, padding
 /// through `scratch` to the next power of two when necessary.
 ///

@@ -9,6 +9,9 @@
 //!   network kernel performs is a function of the input *length* alone
 //!   (the oblivious-execution precondition), and matches the closed-form
 //!   counts `sort_ce_count` / `merge_ce_count`;
+//! * **step-major chunk merges** — the one-sweep merge of a slice of
+//!   bitonic chunks equals merging each chunk alone, with exactly
+//!   `(n/2) · lg_chunk` comparisons;
 //! * **dispatch semantics** — the force override and the threshold table
 //!   select the kernels they claim to.
 
@@ -16,16 +19,20 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt::Debug;
 
-use local_sorts::bitonic_merge::sort_circular_with_scratch;
+use bitonic_core::algorithms::{run_parallel_sort, Algorithm};
+use bitonic_core::local::LocalStrategy;
+use local_sorts::bitonic_merge::{sort_bitonic_chunks_with_scratch, sort_circular_with_scratch};
 use local_sorts::dispatch::{self, select_merge_kernel, select_sort_kernel, set_force};
 use local_sorts::kernels::{
-    bitonic_merge_iterative, bitonic_sort_iterative, bitonic_sort_iterative_any, merge_ce_count,
-    sort_ce_count,
+    bitonic_merge_chunks, bitonic_merge_iterative, bitonic_sort_iterative,
+    bitonic_sort_iterative_any, merge_ce_count, sort_ce_count,
 };
 use local_sorts::{
     local_sort_with_scratch, sort_bitonic_with_scratch, Direction, ForceKernel, Kernel, RadixKey,
+    W192,
 };
 use proptest::prelude::*;
+use spmd::MessageMode;
 
 // ---------------------------------------------------------------------------
 // Oracle equivalence
@@ -154,6 +161,122 @@ oracle_suite!(i32_keys, i32);
 oracle_suite!(i64_keys, i64);
 
 // ---------------------------------------------------------------------------
+// Step-major chunk merges
+
+/// Key types the chunk-merge tests synthesize from a 64-bit draw.
+trait ChunkKey: Ord + Copy + Debug {
+    fn from_draw(x: u64) -> Self;
+}
+impl ChunkKey for u32 {
+    fn from_draw(x: u64) -> Self {
+        x as u32
+    }
+}
+impl ChunkKey for u64 {
+    fn from_draw(x: u64) -> Self {
+        x
+    }
+}
+impl ChunkKey for u128 {
+    fn from_draw(x: u64) -> Self {
+        (u128::from(x) << 64) | u128::from(x.rotate_left(17))
+    }
+}
+impl ChunkKey for W192 {
+    fn from_draw(x: u64) -> Self {
+        W192 {
+            hi: x >> 3,
+            mid: x.rotate_left(29),
+            lo: x,
+        }
+    }
+}
+
+/// `count` chunks of `2^lg_chunk` keys, each a rotated mountain (a
+/// circular bitonic sequence). `mode` 0 draws distinct-ish keys, 1 draws
+/// from four values, 2 makes every key equal.
+fn bitonic_chunks<K: ChunkKey>(lg_chunk: u32, count: usize, seed: u64, mode: u8) -> Vec<K> {
+    let chunk = 1usize << lg_chunk;
+    let mut x = seed | 1;
+    let mut draw = || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        match mode {
+            0 => x >> 11,
+            1 => (x >> 40) % 4,
+            _ => 7,
+        }
+    };
+    let mut v: Vec<K> = (0..chunk * count).map(|_| K::from_draw(draw())).collect();
+    for (i, c) in v.chunks_mut(chunk).enumerate() {
+        let peak = chunk / 2;
+        c[..peak].sort_unstable();
+        c[peak..].sort_unstable_by(|a, b| b.cmp(a));
+        c.rotate_left((seed as usize).wrapping_add(i * 7) % chunk);
+    }
+    v
+}
+
+/// The one-sweep chunk merge, the dispatched chunk merge and per-chunk
+/// `sort_bitonic_with_scratch` agree, and every chunk is sorted in `dir`.
+fn chunk_merge_oracle<K: ChunkKey>(
+    lg_chunk: u32,
+    count: usize,
+    seed: u64,
+    mode: u8,
+    dir: Direction,
+) {
+    let input = bitonic_chunks::<K>(lg_chunk, count, seed, mode);
+    let chunk = 1usize << lg_chunk;
+    let mut scratch = Vec::new();
+    let mut expect = input.clone();
+    for c in expect.chunks_mut(chunk) {
+        sort_bitonic_with_scratch(c, &mut scratch, dir);
+    }
+    for c in expect.chunks(chunk) {
+        let mut sorted = c.to_vec();
+        sorted.sort_unstable();
+        if dir == Direction::Descending {
+            sorted.reverse();
+        }
+        assert_eq!(c, &sorted[..], "per-chunk merge, lg_chunk={lg_chunk}");
+    }
+    let mut swept = input.clone();
+    bitonic_merge_chunks(&mut swept, lg_chunk, dir);
+    assert_eq!(
+        swept, expect,
+        "sweep, lg_chunk={lg_chunk} mode={mode} {dir:?}"
+    );
+    let mut dispatched = input;
+    sort_bitonic_chunks_with_scratch(&mut dispatched, lg_chunk, &mut scratch, dir);
+    assert_eq!(
+        dispatched, expect,
+        "dispatched, lg_chunk={lg_chunk} mode={mode} {dir:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every chunk size 2^0..=2^12, both directions, distinct,
+    /// duplicate-heavy and all-equal keys, at every key width.
+    #[test]
+    fn chunk_sweep_equals_per_chunk_merges(seed in any::<u64>(), count in 1usize..5) {
+        for lg_chunk in 0..=12u32 {
+            for dir in [Direction::Ascending, Direction::Descending] {
+                for mode in 0..3u8 {
+                    chunk_merge_oracle::<u32>(lg_chunk, count, seed, mode, dir);
+                    chunk_merge_oracle::<u64>(lg_chunk, count, seed, mode, dir);
+                    chunk_merge_oracle::<u128>(lg_chunk, count, seed, mode, dir);
+                    chunk_merge_oracle::<W192>(lg_chunk, count, seed, mode, dir);
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Comparator-sequence purity
 
 thread_local! {
@@ -231,6 +354,25 @@ fn merge_network_compare_count_is_pure() {
 }
 
 #[test]
+fn chunk_sweep_compare_count_is_pure() {
+    for lg_chunk in 0..=10u32 {
+        for n in [1usize << lg_chunk, 4 << lg_chunk] {
+            for dir in [Direction::Ascending, Direction::Descending] {
+                for seed in [5u64, 808] {
+                    let mut v = counted_keys(n, seed);
+                    let count = compares_during(|| bitonic_merge_chunks(&mut v, lg_chunk, dir));
+                    assert_eq!(
+                        count,
+                        (n as u64 / 2) * u64::from(lg_chunk),
+                        "n={n} lg_chunk={lg_chunk} {dir:?} seed={seed}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn padded_sort_compare_count_is_pure() {
     // Non-power-of-two lengths add a pad-element scan (n − 1 compares)
     // before the network on ⌈n⌉₂ keys; still a pure function of n.
@@ -285,4 +427,101 @@ fn force_overrides_table_then_auto_restores_boundaries() {
         select_merge_kernel::<u64>(1 << (mmax + 1)),
         Kernel::CircularMerge
     );
+
+    chunk_merges_follow_the_force();
+    forced_radix_and_auto_sort_identically();
+}
+
+/// The tally a dispatched chunk merge of `count` chunks of `2^lg_chunk`
+/// keys leaves behind.
+fn chunk_merge_tally(lg_chunk: u32, count: usize) -> Vec<(&'static str, u64)> {
+    let mut v = bitonic_chunks::<u64>(lg_chunk, count, 3, 0);
+    let mut scratch = Vec::new();
+    dispatch::clear_tally();
+    sort_bitonic_chunks_with_scratch(&mut v, lg_chunk, &mut scratch, Direction::Ascending);
+    dispatch::take_tally()
+}
+
+/// Called from the force test, which owns the process-global force.
+fn chunk_merges_follow_the_force() {
+    let sweep_max = dispatch::CHUNK_SWEEP_MAX_LG;
+    set_force(ForceKernel::Radix);
+    assert_eq!(chunk_merge_tally(1, 32), vec![("circular_merge", 32)]);
+    set_force(ForceKernel::Bitonic);
+    assert_eq!(
+        chunk_merge_tally(sweep_max + 4, 3),
+        vec![("network_merge", 3)]
+    );
+    set_force(ForceKernel::Auto);
+    assert_eq!(chunk_merge_tally(sweep_max, 5), vec![("network_merge", 5)]);
+    assert_eq!(chunk_merge_tally(0, 5), vec![]);
+    let above = chunk_merge_tally(sweep_max + 1, 5);
+    let kernel = select_merge_kernel::<u64>(1 << (sweep_max + 1));
+    assert_eq!(
+        above,
+        vec![(kernel.name(), 5)],
+        "one dispatched merge per chunk"
+    );
+}
+
+/// A whole smart sort gives the same output under forced-radix (the
+/// seed's per-chunk circular merges) and auto (step-major sweeps), with
+/// the same number of merges per rank. Called from the force test.
+fn forced_radix_and_auto_sort_identically() {
+    let p = 4;
+    let mut x = 0x2545_F491u64;
+    let keys: Vec<u32> = (0..1usize << 13)
+        .map(|i| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if i % 3 == 0 {
+                (x >> 60) as u32
+            } else {
+                (x >> 33) as u32
+            }
+        })
+        .collect();
+    let mut expect = keys.clone();
+    expect.sort_unstable();
+    let run = |force: ForceKernel| {
+        set_force(force);
+        let run = run_parallel_sort(
+            &keys,
+            p,
+            MessageMode::Long,
+            Algorithm::Smart,
+            LocalStrategy::Merges,
+        );
+        set_force(ForceKernel::Auto);
+        let merges: Vec<(u64, u64)> = run
+            .ranks
+            .iter()
+            .map(|r| {
+                let calls = |name: &str| -> u64 {
+                    r.stats
+                        .local_kernels
+                        .iter()
+                        .filter(|(k, _)| *k == name)
+                        .map(|(_, c)| c)
+                        .sum()
+                };
+                (calls("circular_merge"), calls("network_merge"))
+            })
+            .collect();
+        (run.output, merges)
+    };
+    let (radix_out, radix_merges) = run(ForceKernel::Radix);
+    let (auto_out, auto_merges) = run(ForceKernel::Auto);
+    assert_eq!(radix_out, expect, "forced radix");
+    assert_eq!(auto_out, radix_out, "auto vs forced radix");
+    for (rank, (r, a)) in radix_merges.iter().zip(&auto_merges).enumerate() {
+        assert_eq!(r.1, 0, "rank {rank}: forced radix swept chunks");
+        assert_eq!(
+            r.0,
+            a.0 + a.1,
+            "rank {rank}: one merge per chunk either way"
+        );
+        assert!(a.1 > a.0, "rank {rank}: auto swept most chunks: {a:?}");
+    }
 }
