@@ -2,7 +2,8 @@
 //! JSON.
 //!
 //! Times every local-phase kernel on every `(key width, size class)` cell
-//! it can legally run on, against the seed kernel for that cell (`radix`
+//! it can legally run on (full sorts: `radix`, `bitonic_net` and the
+//! `comparison` sort), against the seed kernel for that cell (`radix`
 //! for full sorts, `circular_merge` for bitonic merges), and times the
 //! dispatched path (`local_sort_with_scratch` /
 //! `sort_bitonic_with_scratch`) on the same cells — the calibrated
@@ -159,7 +160,8 @@ fn min_ratio(num: &[f64], den: &[f64]) -> f64 {
 }
 
 /// The full-sort rows of one `(width, lg_n)` cell: seed radix, the
-/// bitonic network, and the dispatched path, each relative to radix.
+/// bitonic network, the comparison sort, and the dispatched path, each
+/// relative to radix.
 fn sort_rows<K: BenchKey>(lg: u32, quick: bool, records: &mut Vec<KernelRecord>) {
     let n = 1usize << lg;
     let input = random_keys::<K>(n, u64::from(K::WIDTH_BITS) * 1000 + u64::from(lg));
@@ -175,6 +177,7 @@ fn sort_rows<K: BenchKey>(lg: u32, quick: bool, records: &mut Vec<KernelRecord>)
         &mut [
             &mut |d: &mut [K], s: &mut Vec<K>| radix_sort_with_scratch(d, s),
             &mut |d: &mut [K], _: &mut Vec<K>| bitonic_sort_iterative(d, Direction::Ascending),
+            &mut |d: &mut [K], _: &mut Vec<K>| d.sort_unstable(),
             &mut |d: &mut [K], s: &mut Vec<K>| local_sort_with_scratch(d, s, Direction::Ascending),
         ],
     );
@@ -205,11 +208,18 @@ fn sort_rows<K: BenchKey>(lg: u32, quick: bool, records: &mut Vec<KernelRecord>)
         oks[1],
     ));
     records.push(row(
-        "dispatch",
+        "comparison",
         min_ns(&rounds[2]),
-        min_ratio(&rounds[2], &rounds[0]),
-        true,
+        min_ns(&rounds[2]) / radix_ns,
+        selected == Kernel::Comparison,
         oks[2],
+    ));
+    records.push(row(
+        "dispatch",
+        min_ns(&rounds[3]),
+        min_ratio(&rounds[3], &rounds[0]),
+        true,
+        oks[3],
     ));
 }
 
@@ -405,7 +415,7 @@ pub fn kernels(_scale: super::Scale) -> Experiment {
     let run = run_kernels(true);
     Experiment {
         id: "kernels",
-        title: "Local kernels: branch-free networks vs radix/circular, per size class",
+        title: "Local kernels: branch-free networks vs radix/comparison/circular, per size class",
         body: run.report,
     }
 }
@@ -434,8 +444,8 @@ mod tests {
     fn quick_matrix_is_complete_and_oracle_clean() {
         let run = run_kernels(true);
         assert!(run.oracles_ok, "{}", run.report);
-        // 4 widths x 2 ops x 3 rows per measured size class.
-        let per_lg = 4 * 2 * 3;
+        // 4 widths x (4 sort rows + 3 merge rows) per measured size class.
+        let per_lg = 4 * (4 + 3);
         assert_eq!(
             run.json.matches("\"width_bits\"").count(),
             per_lg * size_classes(true).len()

@@ -263,7 +263,8 @@ pub fn usage() -> String {
      ALGO: smart | smart-fused | cyclic-blocked | blocked-merge | sample | radix | column\n\
      Input is binary little-endian u32 (or decimal lines with --text).\n\
      --local-kernel forces the local-phase kernel family (default auto: the\n\
-     calibrated per-size-class dispatch table picks radix vs branch-free networks).\n\
+     calibrated per-size-class dispatch table picks branch-free networks below the\n\
+     crossover, radix above it for 32-bit keys and a comparison sort for wider words).\n\
      --trace writes a Chrome trace JSON (open in Perfetto / chrome://tracing).\n\
      --chaos-seed arms deterministic fault injection: the mesh drops/duplicates/\n\
      reorders/delays messages per the given rates (all derived from the seed; the\n\

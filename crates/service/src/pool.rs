@@ -129,7 +129,8 @@ impl WarmPool {
         // Measure the local-kernel crossover table once per process, so
         // every batch this pool serves dispatches on calibrated thresholds
         // instead of the baked-in reference-host constants (the serving
-        // analogue of the LogP machine constants).
+        // analogue of the LogP machine constants). The services call this
+        // before spawning their workers, so there it is already free.
         local_sorts::dispatch::ensure_calibrated();
         // The chaos layer's faults (if any) ride along; the service-level
         // batch watchdog takes precedence over a watchdog configured there,

@@ -753,6 +753,9 @@ impl SortService {
     #[must_use]
     pub fn start(config: ServiceConfig) -> Self {
         config.validate();
+        // Calibrate the local-kernel table here, before the dispatcher
+        // exists, so the first batch never races the timing loop.
+        local_sorts::dispatch::ensure_calibrated();
         let shared = Arc::new(Shared {
             q: Mutex::new(QueueState {
                 pending: VecDeque::new(),

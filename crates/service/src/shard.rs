@@ -247,6 +247,11 @@ impl ShardedService {
     #[must_use]
     pub fn start(cfg: ShardedConfig) -> Self {
         cfg.validate();
+        // Calibrate the local-kernel table on this thread, before any
+        // shard worker boots its pool: otherwise one worker spends the
+        // timing loop calibrating while its neighbours already serve, and
+        // the steal and scaling decisions see that skew.
+        local_sorts::dispatch::ensure_calibrated();
         let router = Router::new(&cfg);
         let epoch = Instant::now();
         let shards = cfg

@@ -10,7 +10,10 @@
 //!
 //! * full sorts of `n` keys use the branch-free iterative bitonic network
 //!   ([`crate::kernels`]) while `lg ⌈n⌉₂` is at or below the width class's
-//!   `sort_bitonic_max_lg`, and the LSD radix sort above it;
+//!   `sort_bitonic_max_lg`, and above it the width's own full-sort kernel
+//!   ([`full_sort_kernel`]): the LSD radix sort for keys of at most 32
+//!   bits, std `sort_unstable` for 64-bit and wider words, where radix
+//!   pays 8–24 byte passes;
 //! * bitonic merges use the branchless comparator network while the length
 //!   is a power of two at or below `merge_network_max_lg`, and the
 //!   rotate-copy circular merge above it;
@@ -28,7 +31,8 @@
 
 use crate::RadixKey;
 use core::cell::Cell;
-use core::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use core::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::Once;
 use std::time::Instant;
 
 /// A local-phase kernel, as recorded in stats, traces, and `BENCH_6.json`.
@@ -42,15 +46,19 @@ pub enum Kernel {
     CircularMerge,
     /// Single branch-free merge stage of the comparator network.
     NetworkMerge,
+    /// std `sort_unstable` (plus a reversal for descending) — the full
+    /// sort above the network crossover for 64-bit and wider words.
+    Comparison,
 }
 
 impl Kernel {
     /// All kernels, in [`Kernel::index`] order.
-    pub const ALL: [Kernel; 4] = [
+    pub const ALL: [Kernel; 5] = [
         Kernel::Radix,
         Kernel::BitonicNetwork,
         Kernel::CircularMerge,
         Kernel::NetworkMerge,
+        Kernel::Comparison,
     ];
 
     /// Stable short name used in stats lines, trace events, and bench JSON.
@@ -61,6 +69,7 @@ impl Kernel {
             Kernel::BitonicNetwork => "bitonic_net",
             Kernel::CircularMerge => "circular_merge",
             Kernel::NetworkMerge => "network_merge",
+            Kernel::Comparison => "comparison",
         }
     }
 
@@ -72,6 +81,7 @@ impl Kernel {
             Kernel::BitonicNetwork => 1,
             Kernel::CircularMerge => 2,
             Kernel::NetworkMerge => 3,
+            Kernel::Comparison => 4,
         }
     }
 }
@@ -88,6 +98,21 @@ pub fn width_class<T>() -> usize {
         3..=4 => 1,
         5..=8 => 2,
         _ => 3,
+    }
+}
+
+/// The full-sort kernel for keys of type `K` above the network
+/// crossover, by width: [`Kernel::Radix`] for keys of at most 32 bits
+/// (at most four byte passes), [`Kernel::Comparison`] for 64-bit and
+/// wider words, where the 8–24 counting-and-scatter passes of the radix
+/// cost more than `sort_unstable`'s `n lg n` comparisons at every size
+/// the local phase sees.
+#[must_use]
+pub fn full_sort_kernel<K>() -> Kernel {
+    if width_class::<K>() <= 1 {
+        Kernel::Radix
+    } else {
+        Kernel::Comparison
     }
 }
 
@@ -113,12 +138,14 @@ impl KernelTable {
     /// rounded down to the threshold the calibration reproduced on every
     /// run so dispatch never regresses a cell. Radix does fewer passes on
     /// narrow keys, so its crossover drops with the width: a u16 sort is
-    /// two counting passes and beats the network from 32 keys up, while a
-    /// u128 sort pays sixteen passes and loses to it through 256 keys.
+    /// two counting passes and beats the network from 16 keys up. For
+    /// 64-bit and wider words the network is timed against the comparison
+    /// sort instead ([`full_sort_kernel`]), which beats it from two keys
+    /// up, so their sort thresholds are 0.
     #[must_use]
     pub const fn default_host() -> Self {
         KernelTable {
-            sort_bitonic_max_lg: [3, 4, 5, 8],
+            sort_bitonic_max_lg: [3, 4, 0, 0],
             merge_network_max_lg: [2, 2, 2, 4],
         }
     }
@@ -155,7 +182,7 @@ const FORCE_AUTO: u8 = 0;
 const FORCE_RADIX: u8 = 1;
 const FORCE_BITONIC: u8 = 2;
 static FORCE: AtomicU8 = AtomicU8::new(FORCE_AUTO);
-static CALIBRATED: AtomicBool = AtomicBool::new(false);
+static CALIBRATED: Once = Once::new();
 
 /// A forced kernel family, overriding the threshold table (CLI
 /// `--local-kernel`).
@@ -164,7 +191,8 @@ pub enum ForceKernel {
     /// Use the threshold table (the default).
     #[default]
     Auto,
-    /// Seed behavior: radix full sorts, circular merges.
+    /// Seed behavior: radix full sorts at every key width, circular
+    /// merges.
     Radix,
     /// Branch-free networks wherever the precondition (power-of-two
     /// length for merges) allows.
@@ -213,7 +241,7 @@ pub fn select_sort_kernel<K: RadixKey>(n: usize) -> Kernel {
     if size_class(n) <= max_lg {
         Kernel::BitonicNetwork
     } else {
-        Kernel::Radix
+        full_sort_kernel::<K>()
     }
 }
 
@@ -258,8 +286,10 @@ pub fn sweeps_chunks(lg_chunk: u32) -> bool {
     }
 }
 
+const KERNELS: usize = Kernel::ALL.len();
+
 thread_local! {
-    static TALLY: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
+    static TALLY: Cell<[u64; KERNELS]> = const { Cell::new([0; KERNELS]) };
 }
 
 /// Count one use of `kernel` in this thread's tally.
@@ -280,7 +310,7 @@ pub fn bump_n(kernel: Kernel, n: u64) {
 /// omitting zero counts.
 #[must_use]
 pub fn take_tally() -> Vec<(&'static str, u64)> {
-    let counts = TALLY.with(|t| t.replace([0; 4]));
+    let counts = TALLY.with(|t| t.replace([0; KERNELS]));
     Kernel::ALL
         .iter()
         .filter(|k| counts[k.index()] > 0)
@@ -292,7 +322,7 @@ pub fn take_tally() -> Vec<(&'static str, u64)> {
 /// program, so counts from a previous program on a pooled machine thread
 /// are not attributed to this one).
 pub fn clear_tally() {
-    TALLY.with(|t| t.set([0; 4]));
+    TALLY.with(|t| t.set([0; KERNELS]));
 }
 
 // ---------------------------------------------------------------------------
@@ -385,31 +415,36 @@ const CAL_MAX_LG: u32 = 12;
 /// has one clean round.
 const CAL_ROUNDS: u32 = 3;
 
-/// Whether the network's time beats the seed's with an 8% margin. The
-/// margin, plus the contiguous-prefix rule in the scans below (the first
-/// decisive loss ends the scan), keeps the threshold conservative: a
-/// single noisy network win past the true crossover must not extend the
-/// table into sizes where dispatch would then lose to the seed.
+/// Whether the network's time beats the kernel it would displace (`seed`)
+/// with an 8% margin. The margin, plus the contiguous-prefix rule in the
+/// scans below (the first decisive loss ends the scan), keeps the
+/// threshold conservative: a single noisy network win past the true
+/// crossover must not extend the table into sizes where dispatch would
+/// then lose to the seed.
 fn network_wins(network: u64, seed: u64) -> bool {
     network.saturating_mul(100) <= seed.saturating_mul(92)
 }
 
+/// The network's crossover against the width's own full-sort kernel
+/// ([`full_sort_kernel`]), the one it displaces below the threshold.
 fn sort_crossover<K: CalKey>() -> u32 {
+    let above = full_sort_kernel::<K>();
     let mut best = 0u32;
     let (mut data, mut scratch) = (Vec::new(), Vec::new());
     for lg in 2..=CAL_MAX_LG {
         let n = 1usize << lg;
         let input = random_keys::<K>(n, u64::from(lg) * 11 + 5);
         let reps = calibration_reps(lg);
-        let (mut radix, mut bitonic) = (u64::MAX, u64::MAX);
+        let (mut full, mut bitonic) = (u64::MAX, u64::MAX);
         for _ in 0..CAL_ROUNDS {
-            radix = radix.min(time_kernel(
+            full = full.min(time_kernel(
                 &input,
                 &mut data,
                 &mut scratch,
                 reps,
-                |d, s| {
-                    crate::radix::radix_sort_with_scratch(d, s);
+                |d, s| match above {
+                    Kernel::Comparison => d.sort_unstable(),
+                    _ => crate::radix::radix_sort_with_scratch(d, s),
                 },
             ));
             bitonic = bitonic.min(time_kernel(
@@ -422,7 +457,7 @@ fn sort_crossover<K: CalKey>() -> u32 {
                 },
             ));
         }
-        if network_wins(bitonic, radix) {
+        if network_wins(bitonic, full) {
             best = lg;
         } else {
             break;
@@ -495,13 +530,17 @@ pub fn calibrate() -> KernelTable {
 }
 
 /// Measure and [`install`] the dispatch table, once per process.
-/// Subsequent calls are free. Returns `true` on the call that calibrated.
+/// A caller that arrives while another thread calibrates blocks until
+/// the measured table is installed, so no sort after this returns runs
+/// on a table that is about to change. Subsequent calls are free.
+/// Returns `true` on the call that calibrated.
 pub fn ensure_calibrated() -> bool {
-    if CALIBRATED.swap(true, Ordering::SeqCst) {
-        return false;
-    }
-    install(&calibrate());
-    true
+    let mut ran = false;
+    CALIBRATED.call_once(|| {
+        install(&calibrate());
+        ran = true;
+    });
+    ran
 }
 
 #[cfg(test)]
@@ -533,7 +572,21 @@ mod tests {
         let small = 1usize << max;
         assert_eq!(select_sort_kernel::<u64>(small), Kernel::BitonicNetwork);
         let large = 1usize << (max + 1);
-        assert_eq!(select_sort_kernel::<u64>(large), Kernel::Radix);
+        assert_eq!(select_sort_kernel::<u64>(large), Kernel::Comparison);
+        let max = t.sort_bitonic_max_lg[width_class::<u32>()];
+        assert_eq!(select_sort_kernel::<u32>(1 << max), Kernel::BitonicNetwork);
+        assert_eq!(select_sort_kernel::<u32>(1 << (max + 1)), Kernel::Radix);
+    }
+
+    #[test]
+    fn full_sort_kernel_follows_key_width() {
+        assert_eq!(full_sort_kernel::<u16>(), Kernel::Radix);
+        assert_eq!(full_sort_kernel::<u32>(), Kernel::Radix);
+        assert_eq!(full_sort_kernel::<i32>(), Kernel::Radix);
+        assert_eq!(full_sort_kernel::<u64>(), Kernel::Comparison);
+        assert_eq!(full_sort_kernel::<i64>(), Kernel::Comparison);
+        assert_eq!(full_sort_kernel::<u128>(), Kernel::Comparison);
+        assert_eq!(full_sort_kernel::<crate::W192>(), Kernel::Comparison);
     }
 
     #[test]
@@ -556,8 +609,12 @@ mod tests {
         bump(Kernel::Radix);
         bump(Kernel::Radix);
         bump(Kernel::NetworkMerge);
+        bump_n(Kernel::Comparison, 3);
         let t = take_tally();
-        assert_eq!(t, vec![("radix", 2), ("network_merge", 1)]);
+        assert_eq!(
+            t,
+            vec![("radix", 2), ("network_merge", 1), ("comparison", 3)]
+        );
         assert!(take_tally().is_empty(), "take must reset");
     }
 

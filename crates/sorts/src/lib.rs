@@ -144,9 +144,13 @@ impl RadixKey for i64 {
 /// Sort `data` in `dir` using the fastest applicable local routine for
 /// its size class and key width, per the kernel dispatch table
 /// ([`dispatch`]): the branch-free iterative bitonic network below the
-/// calibrated crossover, the LSD radix sort above it (descending radix
-/// output is produced by an ascending sort plus a reversal, staying
-/// `O(n)`).
+/// calibrated crossover; above it the LSD radix sort for keys of at most
+/// 32 bits and std `sort_unstable` for 64-bit and wider words
+/// ([`dispatch::full_sort_kernel`]). Descending output of either is an
+/// ascending sort plus an `O(n)` reversal.
+///
+/// Every kernel produces the same bits: keys equal under `Ord` are equal
+/// words for every `RadixKey` type, so stability cannot show.
 ///
 /// Allocates a scratch buffer; hot loops should thread a pooled buffer
 /// through [`local_sort_with_scratch`] instead.
@@ -162,12 +166,11 @@ pub fn local_sort_with_scratch<K: RadixKey>(data: &mut [K], scratch: &mut Vec<K>
     let kernel = dispatch::select_sort_kernel::<K>(data.len());
     match kernel {
         Kernel::BitonicNetwork => kernels::bitonic_sort_iterative_any(data, scratch, dir),
-        _ => {
-            radix::radix_sort_with_scratch(data, scratch);
-            if dir == Direction::Descending {
-                data.reverse();
-            }
-        }
+        Kernel::Comparison => data.sort_unstable(),
+        _ => radix::radix_sort_with_scratch(data, scratch),
+    }
+    if kernel != Kernel::BitonicNetwork && dir == Direction::Descending {
+        data.reverse();
     }
     dispatch::bump(kernel);
 }
@@ -260,7 +263,8 @@ mod tests {
         // Small n: the bitonic network kernel path.
         local_sort(&mut v, Direction::Ascending);
         assert_eq!(v, expect);
-        // Large n: the radix path, exercising every one of the 24 passes.
+        // Large n: the above-crossover path (a comparison sort for wide
+        // words), and the radix sort itself through all 24 passes.
         let mut big: Vec<W192> = (0..4096u64)
             .map(|i| {
                 let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -269,6 +273,9 @@ mod tests {
             .collect();
         let mut expect = big.clone();
         expect.sort_unstable();
+        let mut by_radix = big.clone();
+        radix_sort(&mut by_radix);
+        assert_eq!(by_radix, expect);
         local_sort(&mut big, Direction::Ascending);
         assert_eq!(big, expect);
         local_sort(&mut big, Direction::Descending);
@@ -279,11 +286,11 @@ mod tests {
     #[test]
     fn local_sort_with_scratch_reuses_capacity() {
         let mut scratch = Vec::new();
-        for round in 0..3u64 {
-            // Above the bitonic crossover so the radix path exercises the
-            // scratch buffer.
-            let mut v: Vec<u64> = (0..5000u64)
-                .map(|i| (i * 2654435761 + round) % 9973)
+        for round in 0..3u32 {
+            // 32-bit keys above the bitonic crossover, so the radix path
+            // exercises the scratch buffer.
+            let mut v: Vec<u32> = (0..5000u32)
+                .map(|i| (i.wrapping_mul(2654435761) + round) % 9973)
                 .collect();
             let mut expect = v.clone();
             expect.sort_unstable();

@@ -1457,15 +1457,18 @@ mod tests {
     fn drain_kernel_tally_attributes_to_the_rank() {
         let results = run_spmd::<u64, _, _>(2, MessageMode::Long, |comm| {
             local_sorts::dispatch::clear_tally();
-            // One sort per rank above the bitonic crossover (radix) and
-            // `rank + 1` below it (bitonic network), so the two ranks
-            // record different counts.
+            // Per rank: one u64 sort above the bitonic crossover (a
+            // comparison sort for 64-bit words), one u32 sort above it
+            // (radix), and `rank + 1` u32 sorts below it (bitonic
+            // network), so the two ranks record different counts.
             use local_sorts::Direction;
-            let mut big: Vec<u64> = (0..20_000).rev().collect();
+            let mut wide: Vec<u64> = (0..20_000).rev().collect();
+            local_sorts::local_sort_with_scratch(&mut wide, &mut Vec::new(), Direction::Ascending);
+            let mut big: Vec<u32> = (0..20_000).rev().collect();
             let mut scratch = Vec::new();
             local_sorts::local_sort_with_scratch(&mut big, &mut scratch, Direction::Ascending);
             for _ in 0..=comm.rank() {
-                let mut small = [5u64, 1, 4, 1, 3, 9, 2, 6];
+                let mut small = [5u32, 1, 4, 1, 3, 9, 2, 6];
                 local_sorts::local_sort_with_scratch(
                     &mut small[..],
                     &mut scratch,
@@ -1475,6 +1478,7 @@ mod tests {
             comm.drain_kernel_tally();
         });
         for (rank, r) in results.iter().enumerate() {
+            assert_eq!(r.stats.kernel_count("comparison"), 1, "rank {rank}");
             assert_eq!(r.stats.kernel_count("radix"), 1, "rank {rank}");
             assert_eq!(
                 r.stats.kernel_count("bitonic_net"),

@@ -13,7 +13,11 @@
 //!   bitonic chunks equals merging each chunk alone, with exactly
 //!   `(n/2) · lg_chunk` comparisons;
 //! * **dispatch semantics** — the force override and the threshold table
-//!   select the kernels they claim to.
+//!   select the kernels they claim to;
+//! * **wide service words** — the dispatched sort of the service's u64
+//!   tagged words and `W192` record words (a comparison sort above the
+//!   network crossover) equals `sort_unstable` and the radix sort bit for
+//!   bit, in both directions.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -21,12 +25,14 @@ use std::fmt::Debug;
 
 use bitonic_core::algorithms::{run_parallel_sort, Algorithm};
 use bitonic_core::local::LocalStrategy;
+use bitonic_core::tagged::{RecordBatch, TaggedBatch};
 use local_sorts::bitonic_merge::{sort_bitonic_chunks_with_scratch, sort_circular_with_scratch};
 use local_sorts::dispatch::{self, select_merge_kernel, select_sort_kernel, set_force};
 use local_sorts::kernels::{
     bitonic_merge_chunks, bitonic_merge_iterative, bitonic_sort_iterative,
     bitonic_sort_iterative_any, merge_ce_count, sort_ce_count,
 };
+use local_sorts::radix::radix_sort_with_scratch;
 use local_sorts::{
     local_sort_with_scratch, sort_bitonic_with_scratch, Direction, ForceKernel, Kernel, RadixKey,
     W192,
@@ -406,6 +412,7 @@ fn force_overrides_table_then_auto_restores_boundaries() {
 
     set_force(ForceKernel::Radix);
     assert_eq!(select_sort_kernel::<u64>(2), Kernel::Radix);
+    assert_eq!(select_sort_kernel::<W192>(1 << 20), Kernel::Radix);
     assert_eq!(select_merge_kernel::<u64>(4), Kernel::CircularMerge);
 
     set_force(ForceKernel::Auto);
@@ -418,8 +425,19 @@ fn force_overrides_table_then_auto_restores_boundaries() {
     );
     assert_eq!(
         select_sort_kernel::<u64>(1 << (max + 1)),
+        Kernel::Comparison,
+        "one class above the threshold a u64 sort must be a comparison sort"
+    );
+    let max32 = table.sort_bitonic_max_lg[dispatch::width_class::<u32>()];
+    assert_eq!(
+        select_sort_kernel::<u32>(1 << max32),
+        Kernel::BitonicNetwork,
+        "at the u32 threshold the network must be chosen"
+    );
+    assert_eq!(
+        select_sort_kernel::<u32>(1 << (max32 + 1)),
         Kernel::Radix,
-        "one class above the threshold radix must be chosen"
+        "one class above the threshold a u32 sort must be radix"
     );
     let mmax = table.merge_network_max_lg[dispatch::width_class::<u64>()];
     assert_eq!(select_merge_kernel::<u64>(1 << mmax), Kernel::NetworkMerge);
@@ -523,5 +541,158 @@ fn forced_radix_and_auto_sort_identically() {
             "rank {rank}: one merge per chunk either way"
         );
         assert!(a.1 > a.0, "rank {rank}: auto swept most chunks: {a:?}");
+    }
+    let (tagged, _) =
+        tagged_batch(0x5EED, &[(3_000, false), (1, true), (2_500, true)]).padded_words(p);
+    wide_words_sort_identically("u64 tagged", &tagged);
+    let (records, _) = w192_batch(0xBA7C, &[(2_900, true), (2_100, false)]).padded_words(p);
+    wide_words_sort_identically("W192 records", &records);
+}
+
+/// A whole P = 4 smart sort of 64- or 192-bit words gives the same bits
+/// under forced radix (the seed: radix for every full sort) and auto,
+/// whose full sorts above the network crossover are comparison sorts.
+/// Called from the force test.
+fn wide_words_sort_identically<K: RadixKey + Debug>(what: &str, words: &[K]) {
+    let mut expect = words.to_vec();
+    expect.sort_unstable();
+    let run = |force: ForceKernel| {
+        set_force(force);
+        let run = run_parallel_sort(
+            words,
+            4,
+            MessageMode::Long,
+            Algorithm::Smart,
+            LocalStrategy::Merges,
+        );
+        set_force(ForceKernel::Auto);
+        let calls = |name: &str| -> Vec<u64> {
+            run.ranks
+                .iter()
+                .map(|r| r.stats.kernel_count(name))
+                .collect()
+        };
+        (run.output, calls("radix"), calls("comparison"))
+    };
+    let (radix_out, radix_calls, radix_cmp) = run(ForceKernel::Radix);
+    let (auto_out, auto_radix, auto_cmp) = run(ForceKernel::Auto);
+    assert_eq!(radix_out, expect, "{what}: forced radix");
+    assert_eq!(auto_out, radix_out, "{what}: auto vs forced radix");
+    assert!(
+        radix_calls.iter().all(|&c| c > 0),
+        "{what}: {radix_calls:?}"
+    );
+    assert!(radix_cmp.iter().all(|&c| c == 0), "{what}: {radix_cmp:?}");
+    assert!(auto_radix.iter().all(|&c| c == 0), "{what}: {auto_radix:?}");
+    assert_eq!(
+        auto_cmp, radix_calls,
+        "{what}: one comparison sort per radix sort"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Wide service words
+
+fn direction(descending: bool) -> Direction {
+    if descending {
+        Direction::Descending
+    } else {
+        Direction::Ascending
+    }
+}
+
+/// xorshift64 draws for the batch builders below.
+fn draws(seed: u64) -> impl FnMut() -> u64 {
+    let mut x = seed | 1;
+    move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    }
+}
+
+/// A coalesced plain batch of `(len, descending)` requests whose keys
+/// repeat heavily (64 distinct values), as the warm pool encodes it.
+fn tagged_batch(seed: u64, requests: &[(usize, bool)]) -> TaggedBatch {
+    let mut draw = draws(seed);
+    let mut batch = TaggedBatch::new();
+    for &(len, descending) in requests {
+        let keys: Vec<u32> = (0..len).map(|_| (draw() % 64) as u32).collect();
+        batch.push(&keys, direction(descending));
+    }
+    batch
+}
+
+/// A record batch of `(len, descending)` u128-key requests with duplicate
+/// keys (16 distinct values, set in all three limbs of the word) and
+/// distinct record ids, as the record plane encodes it.
+fn w192_batch(seed: u64, requests: &[(usize, bool)]) -> RecordBatch<W192> {
+    let mut draw = draws(seed);
+    let mut batch = RecordBatch::new();
+    for &(len, descending) in requests {
+        let keys: Vec<u128> = (0..len)
+            .map(|_| {
+                let k = draw() % 16;
+                (u128::from(k) << 120) | u128::from(k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            })
+            .collect();
+        batch.push(&keys, direction(descending));
+    }
+    batch
+}
+
+/// The dispatched sort of `words` equals `sort_unstable` and the seed's
+/// radix sort, bit for bit, in both directions.
+fn wide_sort_oracle<K: RadixKey + Debug>(words: &[K]) {
+    let mut expect = words.to_vec();
+    expect.sort_unstable();
+    let mut by_radix = words.to_vec();
+    radix_sort_with_scratch(&mut by_radix, &mut Vec::new());
+    assert_eq!(by_radix, expect, "radix");
+    let mut scratch = Vec::new();
+    for dir in [Direction::Ascending, Direction::Descending] {
+        if dir == Direction::Descending {
+            expect.reverse();
+        }
+        let mut v = words.to_vec();
+        local_sort_with_scratch(&mut v, &mut scratch, dir);
+        assert_eq!(
+            v,
+            expect,
+            "dispatched sort of {} words, {dir:?}",
+            words.len()
+        );
+    }
+}
+
+/// Up to five requests of up to 1,500 keys each, in either direction.
+fn request_shapes() -> impl Strategy<Value = Vec<(usize, bool)>> {
+    proptest::collection::vec((0usize..1_500, any::<bool>()), 1..6)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Tagged u64 batches with `u64::MAX` padding, padded for P = 1..8.
+    #[test]
+    fn dispatched_sort_of_tagged_words_matches_oracle(
+        seed in any::<u64>(),
+        requests in request_shapes(),
+        lg_p in 0u32..4,
+    ) {
+        let (words, _) = tagged_batch(seed, &requests).padded_words(1 << lg_p);
+        wide_sort_oracle(&words);
+    }
+
+    /// `W192` record words: duplicate keys, distinct record ids, padding.
+    #[test]
+    fn dispatched_sort_of_w192_record_words_matches_oracle(
+        seed in any::<u64>(),
+        requests in request_shapes(),
+        lg_p in 0u32..4,
+    ) {
+        let (words, _) = w192_batch(seed, &requests).padded_words(1 << lg_p);
+        wide_sort_oracle(&words);
     }
 }
