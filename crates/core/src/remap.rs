@@ -237,7 +237,7 @@ impl RemapPlan {
     /// straight into `out` — every element is touched exactly twice, with
     /// no intermediate flat copy on either side.
     ///
-    /// `out` is cleared and refilled each call; once it and the
+    /// `out` is overwritten each call; once it and the
     /// communicator's buffer pool have grown to the remap's working-set
     /// size — after the first call, for a fixed plan — subsequent calls
     /// perform **zero heap allocations**. Callers double-buffer by
@@ -264,9 +264,9 @@ impl RemapPlan {
             "plan built for a different machine size"
         );
 
-        // Size the output up front; `scatter` is a permutation of
-        // 0..local, so the transfer overwrites every slot.
-        out.clear();
+        // `scatter` is a permutation of 0..local, so the transfer
+        // overwrites every slot: only a length change needs a write here,
+        // and on a warm context `out` is already `local` long.
         out.resize(self.local, data[0]);
         let out = &mut out[..];
         comm.alltoallv_with(

@@ -13,10 +13,12 @@
 //! Naming follows Prometheus conventions under a `bitonic_` prefix:
 //! counters end in `_total`, histograms carry their unit (`_us`, keys),
 //! labels are `class`, `reason` (admission), `verdict` (coalescer),
-//! `direction` (autoscaler), `kernel` (local sorts). See DESIGN.md §10.
+//! `direction` (autoscaler), `kernel` (local sorts), `path` (batches).
+//! See DESIGN.md §10.
 
 use crate::coalescer::BatchCost;
 use crate::config::{ServiceConfig, ShardedConfig};
+use crate::pool::BatchPath;
 use obs::metrics::{Counter, DriftGauge, Gauge, Histogram, Registry, SloTracker, Snapshot};
 use spmd::CommStats;
 use std::sync::Arc;
@@ -48,8 +50,9 @@ pub struct ClassMetrics {
     pub(crate) failed: Arc<Counter>,
     /// Requests answered.
     pub(crate) completed: Arc<Counter>,
-    /// Batches taken off the queue (including all-expired ones).
-    pub(crate) batches: Arc<Counter>,
+    /// Batches taken off the queue (including all-expired ones), by
+    /// [`BatchPath`] label: `single`, then `machine`.
+    batches: [Arc<Counter>; 2],
     /// Coalescer flush verdicts.
     pub(crate) verdict_flush: Arc<Counter>,
     /// Coalescer wait verdicts.
@@ -144,7 +147,13 @@ impl ClassMetrics {
                 "Requests answered with sorted keys",
                 l,
             ),
-            batches: r.counter("bitonic_batches_total", "Batches taken off the queue", l),
+            batches: [BatchPath::Single, BatchPath::Machine].map(|path| {
+                r.counter(
+                    "bitonic_batches_total",
+                    "Batches taken off the queue, by the path that sorted them",
+                    &[("class", class), ("path", path.label())],
+                )
+            }),
             verdict_flush: r.counter(
                 "bitonic_coalescer_verdicts_total",
                 "Coalescer decisions, by verdict",
@@ -271,7 +280,12 @@ impl ClassMetrics {
         }
         self.faults_injected.add(stats.faults.total_injected());
         self.arq_retries.add(stats.faults.retries);
-        for &(name, count) in &stats.local_kernels {
+        self.record_kernels(&stats.local_kernels);
+    }
+
+    /// Add `(kernel, count)` tallies to the local-kernel counters.
+    pub(crate) fn record_kernels(&self, kernels: &[(&'static str, u64)]) {
+        for &(name, count) in kernels {
             self.registry
                 .counter(
                     "bitonic_local_kernel_invocations_total",
@@ -280,6 +294,15 @@ impl ClassMetrics {
                 )
                 .add(count);
         }
+    }
+
+    /// Count one batch taken off the queue under its path label.
+    pub(crate) fn record_batch(&self, path: BatchPath) {
+        let idx = match path {
+            BatchPath::Single => 0,
+            BatchPath::Machine => 1,
+        };
+        self.batches[idx].inc();
     }
 
     /// Count one completed record request: the per-width counter plus

@@ -9,6 +9,13 @@
 //! warm-up, every batch runs with a 100% plan-cache hit rate (the
 //! [`PoolStats`] counters prove it).
 //!
+//! Below the host crossover a machine costs more than the whole sort: a
+//! batch of at most [`SINGLE_PATH_MAX_WORDS`] padded words is sorted on
+//! the calling thread by one dispatched local sort (R = 0, no machine
+//! runs), unless the pool injects faults. Both paths sort the same
+//! padded words ascending, so the reply is bit-for-bit the same
+//! (DESIGN.md §7).
+//!
 //! Failure policy: a batch that fails — watchdog expiry on a stalled
 //! rank, or a panic — breaks its machine. The pool replaces the machine
 //! wholesale (fresh ranks, empty caches) and reports the failure to the
@@ -18,6 +25,7 @@ use crate::config::ServiceConfig;
 use crate::metrics::ClassMetrics;
 use bitonic_core::algorithms::smart_sort_ctx;
 use bitonic_core::{LocalStrategy, SortContext};
+use bitonic_network::Direction;
 use local_sorts::{RadixKey, W192};
 use spmd::fault::FaultStats;
 use spmd::{MachineConfig, MachineFailure, SpmdMachine};
@@ -34,10 +42,38 @@ pub type Record128Machine = SpmdMachine<u128, SortContext<u128>, Vec<u128>>;
 /// A record machine over 192-bit words (`[tag:32][key:128][rid:32]`).
 pub type Record192Machine = SpmdMachine<W192, SortContext<W192>, Vec<W192>>;
 
+/// Largest batch, in padded words, that the pool sorts on the calling
+/// thread instead of on a machine. The `pool_paths` criterion group
+/// times one thread against a warm P = 4 machine on the 2-core reference
+/// host: one thread wins at every size it measures, 2^10 to 2^17 words,
+/// for u64, u128 and `W192` words (table in DESIGN.md §7), so the limit
+/// is the largest measured size.
+pub const SINGLE_PATH_MAX_WORDS: usize = 1 << 17;
+
+/// Where the pool sorts a batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchPath {
+    /// One local sort on the calling thread: R = 0, no machine runs.
+    Single,
+    /// The smart sort on a warm P-rank machine.
+    Machine,
+}
+
+impl BatchPath {
+    /// The `path` label of `bitonic_batches_total`.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            BatchPath::Single => "single",
+            BatchPath::Machine => "machine",
+        }
+    }
+}
+
 /// What the pool has done so far.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PoolStats {
-    /// Batches completed successfully.
+    /// Batches completed successfully, on either [`BatchPath`].
     pub batches_run: u64,
     /// Batches that failed (watchdog or panic) and broke their machine.
     pub batches_failed: u64,
@@ -107,6 +143,10 @@ pub struct WarmPool {
     machines: Vec<SortMachine>,
     rec128: Option<Record128Machine>,
     rec192: Option<Record192Machine>,
+    /// Scratch of the single path, one per word shape.
+    scratch64: Vec<u64>,
+    scratch128: Vec<u128>,
+    scratch192: Vec<W192>,
     next: usize,
     stats: PoolStats,
     metrics: Option<Arc<ClassMetrics>>,
@@ -157,6 +197,9 @@ impl WarmPool {
             machines,
             rec128: None,
             rec192: None,
+            scratch64: Vec::new(),
+            scratch128: Vec::new(),
+            scratch192: Vec::new(),
             next: 0,
             stats: PoolStats::default(),
             metrics: None,
@@ -225,9 +268,32 @@ impl WarmPool {
         self.stats
     }
 
+    /// Where a batch of `words` padded words runs: on the calling thread
+    /// at or below [`SINGLE_PATH_MAX_WORDS`], on a machine above it or
+    /// whenever the pool injects faults, so the chaos layer always has a
+    /// machine to act on.
+    #[must_use]
+    pub fn path(&self, words: usize) -> BatchPath {
+        if words <= SINGLE_PATH_MAX_WORDS && !self.machine_config.fault.injects() {
+            BatchPath::Single
+        } else {
+            BatchPath::Machine
+        }
+    }
+
+    /// [`WarmPool::path`] for a batch, after checking that it is padded
+    /// to `per_rank * procs` words.
+    fn path_of<K>(&self, words: &[K], per_rank: usize) -> BatchPath {
+        let procs = self.machine_config.procs;
+        assert_eq!(words.len(), per_rank * procs, "batch must be padded");
+        self.path(words.len())
+    }
+
     /// Sort `words` (already padded to `per_rank * procs`, see
-    /// [`bitonic_core::tagged::TaggedBatch::padded_words`]) on the next
-    /// machine in the rotation, returning the globally ascending words.
+    /// [`bitonic_core::tagged::TaggedBatch::padded_words`]) on the
+    /// [`BatchPath`] that [`WarmPool::path`] picks — the calling thread,
+    /// or the next machine in the rotation — returning the globally
+    /// ascending words.
     ///
     /// On failure the broken machine is replaced with a fresh one and the
     /// failure returned; the pool remains usable.
@@ -242,8 +308,15 @@ impl WarmPool {
         words: Vec<u64>,
         per_rank: usize,
     ) -> Result<Vec<u64>, MachineFailure> {
+        if self.path_of(&words, per_rank) == BatchPath::Single {
+            return Ok(sort_single(
+                words,
+                &mut self.scratch64,
+                &mut self.stats,
+                self.metrics.as_deref(),
+            ));
+        }
         let procs = self.machine_config.procs;
-        assert_eq!(words.len(), per_rank * procs, "batch must be padded");
         let idx = self.next;
         self.next = (self.next + 1) % self.machines.len();
         let words = Arc::new(words);
@@ -284,9 +357,9 @@ impl WarmPool {
         }
     }
 
-    /// Sort 128-bit record words (u32/u64 keys) on the pool's lazily
-    /// booted record machine; same padding contract and failure policy
-    /// as [`WarmPool::run_batch`].
+    /// Sort 128-bit record words (u32/u64 keys) on the calling thread or
+    /// the pool's lazily booted record machine; same padding contract,
+    /// [`BatchPath`] rule and failure policy as [`WarmPool::run_batch`].
     ///
     /// # Errors
     /// The [`MachineFailure`] that broke the batch.
@@ -298,21 +371,28 @@ impl WarmPool {
         words: Vec<u128>,
         per_rank: usize,
     ) -> Result<Vec<u128>, MachineFailure> {
-        let metrics = self.metrics.clone();
+        if self.path_of(&words, per_rank) == BatchPath::Single {
+            return Ok(sort_single(
+                words,
+                &mut self.scratch128,
+                &mut self.stats,
+                self.metrics.as_deref(),
+            ));
+        }
         run_record_words(
             &mut self.rec128,
             self.machine_config,
             self.strategy,
             &mut self.stats,
-            metrics.as_deref(),
+            self.metrics.as_deref(),
             words,
             per_rank,
         )
     }
 
-    /// Sort 192-bit record words (u128 keys) on the pool's lazily
-    /// booted record machine; same padding contract and failure policy
-    /// as [`WarmPool::run_batch`].
+    /// Sort 192-bit record words (u128 keys) on the calling thread or
+    /// the pool's lazily booted record machine; same padding contract,
+    /// [`BatchPath`] rule and failure policy as [`WarmPool::run_batch`].
     ///
     /// # Errors
     /// The [`MachineFailure`] that broke the batch.
@@ -324,17 +404,45 @@ impl WarmPool {
         words: Vec<W192>,
         per_rank: usize,
     ) -> Result<Vec<W192>, MachineFailure> {
-        let metrics = self.metrics.clone();
+        if self.path_of(&words, per_rank) == BatchPath::Single {
+            return Ok(sort_single(
+                words,
+                &mut self.scratch192,
+                &mut self.stats,
+                self.metrics.as_deref(),
+            ));
+        }
         run_record_words(
             &mut self.rec192,
             self.machine_config,
             self.strategy,
             &mut self.stats,
-            metrics.as_deref(),
+            self.metrics.as_deref(),
             words,
             per_rank,
         )
     }
+}
+
+/// Sort a batch's padded words ascending on the calling thread with one
+/// dispatched local sort, and drain this thread's kernel tally into the
+/// class's kernel counters — the machine path's ranks report theirs the
+/// same way, through their `CommStats`.
+fn sort_single<K: RadixKey>(
+    mut words: Vec<K>,
+    scratch: &mut Vec<K>,
+    stats: &mut PoolStats,
+    metrics: Option<&ClassMetrics>,
+) -> Vec<K> {
+    local_sorts::dispatch::clear_tally();
+    local_sorts::local_sort_with_scratch(&mut words, scratch, Direction::Ascending);
+    let kernels = local_sorts::dispatch::take_tally();
+    stats.batches_run += 1;
+    stats.last_batch_plan_misses = 0;
+    if let Some(m) = metrics {
+        m.record_kernels(&kernels);
+    }
+    words
 }
 
 /// Run one record batch on the (lazily booted) machine in `slot`,
@@ -401,6 +509,15 @@ mod tests {
         WarmPool::new(&cfg)
     }
 
+    /// A pool whose chaos layer injects a harmless 1 µs of jitter, so
+    /// every batch, however small, runs on a machine.
+    fn machine_pool(procs: usize) -> WarmPool {
+        let mut cfg = ServiceConfig::new(procs);
+        cfg.batch_watchdog = Some(Duration::from_secs(5));
+        cfg.fault.jitter_us = 1;
+        WarmPool::new(&cfg)
+    }
+
     fn run(pool: &mut WarmPool, keys: &[u32]) -> Vec<u32> {
         let mut batch = TaggedBatch::new();
         batch.push(keys, Direction::Ascending);
@@ -410,9 +527,35 @@ mod tests {
     }
 
     #[test]
+    fn small_batches_sort_on_the_calling_thread() {
+        let mut p = pool(4);
+        assert_eq!(p.path(SINGLE_PATH_MAX_WORDS), BatchPath::Single);
+        assert_eq!(p.path(SINGLE_PATH_MAX_WORDS + 1), BatchPath::Machine);
+        let keys: Vec<u32> = (0..300u32).map(|i| (i * 7919) % 64).collect();
+        let mut expect = keys.clone();
+        expect.sort_unstable();
+        for _ in 0..3 {
+            assert_eq!(run(&mut p, &keys), expect);
+        }
+        let s = p.stats();
+        assert_eq!(s.batches_run, 3);
+        assert_eq!(
+            (s.plan_hits, s.plan_misses),
+            (0, 0),
+            "R = 0: no remap plans"
+        );
+        // Injected faults need a machine to act on, at any size.
+        let mut m = machine_pool(4);
+        assert_eq!(m.path(4), BatchPath::Machine);
+        assert_eq!(run(&mut m, &keys), expect);
+        assert!(m.stats().plan_misses > 0, "the machine computed its plans");
+    }
+
+    #[test]
     fn repeated_shapes_reach_a_perfect_hit_rate() {
         let mut p = pool(4);
-        let keys: Vec<u32> = (0..256u32).rev().collect();
+        // Above the single-path limit, so every batch runs on a machine.
+        let keys: Vec<u32> = (0..=SINGLE_PATH_MAX_WORDS as u32).rev().collect();
         let first = run(&mut p, &keys);
         assert!(first.windows(2).all(|w| w[0] <= w[1]));
         let cold = p.stats();
@@ -433,7 +576,7 @@ mod tests {
 
     #[test]
     fn grow_and_shrink_move_the_gauge_and_respect_the_floor() {
-        let mut p = pool(2);
+        let mut p = machine_pool(2);
         assert_eq!(p.machines(), 1);
         assert_eq!(p.stats().machines, 1);
         p.grow();
@@ -521,7 +664,7 @@ mod tests {
     #[test]
     fn record_batches_sort_stably_and_warm_their_own_plan_cache() {
         use bitonic_core::tagged::{records_sorted_independently, RecordBatch};
-        let mut p = pool(2);
+        let mut p = machine_pool(2);
         // Duplicate-heavy keys so stability is load-bearing.
         let keys: Vec<u64> = (0..64u64).map(|i| (i * 37) % 16).collect();
         for round in 0..3 {
@@ -561,7 +704,7 @@ mod tests {
 
     #[test]
     fn a_failed_batch_is_contained_and_the_pool_recovers() {
-        let mut p = pool(2);
+        let mut p = machine_pool(2);
         // per_rank = 3 is not a power of two: the job's sort asserts on
         // every rank, breaking the machine.
         let bad = vec![1u64; 6];

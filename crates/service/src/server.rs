@@ -472,7 +472,6 @@ pub(crate) fn process_batch(
         ..BatchOutcome::default()
     };
     if let Some(m) = metrics {
-        m.batches.inc();
         m.batch_requests.observe(batch.len() as u64);
     }
 
@@ -504,6 +503,10 @@ pub(crate) fn process_batch(
         m.batch_keys.observe(outcome.batched_keys);
     }
     if live.is_empty() {
+        // Nothing to sort: the batch counts where the rule puts no words.
+        if let Some(m) = metrics {
+            m.record_batch(pool.path(0));
+        }
         return outcome;
     }
     match live[0].lane() {
@@ -575,6 +578,9 @@ fn run_plain_batch(
         tagged.push(keys, p.dir);
     }
     let (words, per_rank) = tagged.padded_words(procs);
+    if let Some(m) = metrics {
+        m.record_batch(pool.path(words.len()));
+    }
     let encoded_at = Instant::now();
     sink.span(TracePhase::Batch, formed_at, encoded_at);
     let result = pool.run_batch(words, per_rank);
@@ -621,6 +627,9 @@ fn run_record_batch<W: RecordWord>(
         rec.push(&widen(keys), p.dir);
     }
     let (words, per_rank) = rec.padded_words(procs);
+    if let Some(m) = metrics {
+        m.record_batch(pool.path(words.len()));
+    }
     let encoded_at = Instant::now();
     sink.span(TracePhase::Batch, formed_at, encoded_at);
     let result = run(pool, words, per_rank);
@@ -1101,8 +1110,11 @@ mod tests {
     #[test]
     fn steady_state_batches_hit_the_plan_cache_every_time() {
         // Same request shape over and over: after the first batch of each
-        // padded shape, no plan is ever computed again.
-        let svc = SortService::start(config(2));
+        // padded shape, no plan is ever computed again. 1 µs of injected
+        // jitter keeps these small batches on a machine.
+        let mut cfg = config(2);
+        cfg.fault.jitter_us = 1;
+        let svc = SortService::start(cfg);
         let keys: Vec<u32> = (0..128u32).rev().collect();
         for _ in 0..4 {
             let t = svc.submit(SortRequest::ascending(keys.clone())).unwrap();

@@ -99,12 +99,19 @@ impl FaultConfig {
     /// the mesh needs a fault session at all.
     #[must_use]
     pub fn enabled(&self) -> bool {
+        self.injects() || self.watchdog.is_some()
+    }
+
+    /// Whether any fault class is active: [`FaultConfig::enabled`]
+    /// without the watchdog, which only converts a stall into a failure
+    /// and injects nothing.
+    #[must_use]
+    pub fn injects(&self) -> bool {
         self.drop_rate > 0.0
             || self.dup_rate > 0.0
             || self.reorder_rate > 0.0
             || self.jitter_us > 0
             || (self.stall_rank.is_some() && self.stall_us > 0)
-            || self.watchdog.is_some()
     }
 
     /// Validate the configuration.
@@ -381,6 +388,46 @@ mod tests {
             ..FaultConfig::off()
         };
         assert!(cfg.enabled(), "watchdog-only mode still needs the session");
+        assert!(!cfg.injects(), "a watchdog injects no fault");
+    }
+
+    #[test]
+    fn injects_tracks_every_fault_class() {
+        assert!(!FaultConfig::off().injects());
+        assert!(FaultConfig::chaos(7).injects());
+        let off = FaultConfig::off();
+        for cfg in [
+            FaultConfig {
+                drop_rate: 0.01,
+                ..off
+            },
+            FaultConfig {
+                dup_rate: 0.01,
+                ..off
+            },
+            FaultConfig {
+                reorder_rate: 0.01,
+                ..off
+            },
+            FaultConfig {
+                jitter_us: 1,
+                ..off
+            },
+            FaultConfig {
+                stall_rank: Some(0),
+                stall_us: 1,
+                ..off
+            },
+        ] {
+            assert!(cfg.injects(), "{cfg:?}");
+            assert!(cfg.enabled());
+        }
+        // A stall needs both its rank and a duration.
+        let rank_only = FaultConfig {
+            stall_rank: Some(1),
+            ..off
+        };
+        assert!(!rank_only.injects());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use bitonic_network::Direction;
 use obs::Histogram;
 use proptest::prelude::*;
+use sort_service::pool::SINGLE_PATH_MAX_WORDS;
 use sort_service::{
     Rejection, ServiceConfig, ShardedConfig, ShardedService, SortRequest, SortService,
 };
@@ -178,6 +179,59 @@ fn single_service_registry_reconciles_with_service_stats() {
     assert_eq!(
         snap.counter_total("bitonic_plan_cache_misses_total"),
         stats.pool.plan_misses
+    );
+}
+
+/// `bitonic_batches_total` carries the path that sorted each batch: a
+/// batch at or below the single-path limit is labelled `single`, one
+/// above it `machine`, and the labels still sum to the service's batch
+/// count. Single-path sorts report their local kernels like machine
+/// ranks do.
+#[test]
+fn batches_are_labelled_by_the_path_that_sorted_them() {
+    let big = SINGLE_PATH_MAX_WORDS + 1;
+    let mut cfg = ServiceConfig::new(4);
+    cfg.max_batch_keys = big;
+    cfg.max_request_keys = big;
+    let service = SortService::start(cfg);
+    let metrics = service.metrics().expect("metrics are on by default");
+    let sort = |keys: Vec<u32>| {
+        let mut expect = keys.clone();
+        expect.sort_unstable();
+        let out = service
+            .submit(SortRequest::ascending(keys))
+            .expect("admitted")
+            .wait()
+            .expect("request sorts");
+        assert_eq!(out, expect);
+    };
+    let labelled = |path| {
+        metrics
+            .snapshot()
+            .counter_labeled("bitonic_batches_total", "path", path)
+    };
+    let kernel_calls = || {
+        metrics
+            .snapshot()
+            .counter_total("bitonic_local_kernel_invocations_total")
+    };
+
+    sort((0..1000u32).rev().collect());
+    assert_eq!((labelled("single"), labelled("machine")), (1, 0));
+    assert!(kernel_calls() > 0, "the single path reports its kernel");
+
+    sort(
+        (0..big as u32)
+            .map(|k| k.wrapping_mul(2_654_435_761))
+            .collect(),
+    );
+    assert_eq!((labelled("single"), labelled("machine")), (1, 1));
+
+    let stats = service.shutdown().stats;
+    assert_eq!(stats.batches, 2);
+    assert_eq!(
+        metrics.snapshot().counter_total("bitonic_batches_total"),
+        stats.batches
     );
 }
 
